@@ -7,7 +7,8 @@
 # CSR / adaptive-inference benchmarks (enough iterations to catch a
 # perf-structure regression that a single pass hides, cheap enough for
 # every run), a short fuzz smoke over the
-# untrusted-input decoders (CSV rows, JSON schema specs), and the
+# untrusted-input decoders (CSV rows, JSON schema specs) and over the
+# exact-inference DP against its dense, brute-force and Ryser oracles, the
 # serve-restart smoke (boot, ingest, kill, reboot, verify
 # byte-identical disk recovery with zero pipeline runs), the
 # observability smoke (boot with a diagnostics listener, drive load,
@@ -67,11 +68,13 @@ BENCH_BASELINE ?=
 bench-json:
 	GO="$(GO)" sh scripts/bench.sh "$(BENCH_OUT)" "$(BENCH_BASELINE)"
 
-# Short fuzz smoke over the two parsers that face untrusted input.
+# Short fuzz smoke over the two parsers that face untrusted input and
+# the exact-inference walk against its dense and brute-force oracles.
 # `go test -fuzz` takes one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 5s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/schema
+	$(GO) test -run '^$$' -fuzz '^FuzzExactPosteriors$$' -fuzztime 5s ./internal/inference
 
 # Coverage: per-package profiles plus the aggregate statement rate.
 cover:

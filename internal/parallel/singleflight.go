@@ -65,39 +65,48 @@ func (g *Group[V]) Do(key string, compute func() (V, error)) (val V, shared bool
 // panicked in the caller that ran it.
 var ErrFlightPanicked = errors.New("parallel: singleflight computation panicked")
 
-// memoEntry is a singleflight memo slot: concurrent callers for the
-// same key block on one computation instead of duplicating it, and the
-// outcome (value or error) is retained for every later call.
-type memoEntry[V any] struct {
-	once sync.Once
-	val  V
-	err  error
-}
-
 // Memo is a memoizing Group: the first call for each key computes,
 // and every other call — concurrent or later — returns the memoized
-// outcome. Entries are never evicted, which suits bounded key spaces
+// outcome (value or error). A compute that panics is not memoized: its
+// waiters get ErrFlightPanicked and the next call for the key computes
+// again. Entries are never evicted, which suits bounded key spaces
 // like the experiment harness's (model, parameter-set) releases; use
 // Group plus an evicting cache when the key space is open-ended. The
 // zero value is ready to use.
 type Memo[V any] struct {
 	mu sync.Mutex
-	m  map[string]*memoEntry[V]
+	m  map[string]*flightCall[V]
 }
 
-// Do returns the memoized outcome for key, running compute exactly
-// once per key across all callers.
+// Do returns the memoized outcome for key, running compute once per
+// key across all callers unless it panics.
 func (m *Memo[V]) Do(key string, compute func() (V, error)) (V, error) {
 	m.mu.Lock()
 	if m.m == nil {
-		m.m = map[string]*memoEntry[V]{}
+		m.m = map[string]*flightCall[V]{}
 	}
-	e, ok := m.m[key]
-	if !ok {
-		e = &memoEntry[V]{}
-		m.m[key] = e
+	if c, ok := m.m[key]; ok {
+		m.mu.Unlock()
+		<-c.done
+		return c.val, c.err
 	}
+	c := &flightCall[V]{done: make(chan struct{})}
+	m.m[key] = c
 	m.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = compute() })
-	return e.val, e.err
+
+	// As in Group.Do, the panic propagates to this caller; the slot is
+	// dropped so it can never hand out the zero value as a result.
+	completed := false
+	defer func() {
+		if !completed {
+			c.err = ErrFlightPanicked
+			m.mu.Lock()
+			delete(m.m, key)
+			m.mu.Unlock()
+		}
+		close(c.done)
+	}()
+	c.val, c.err = compute()
+	completed = true
+	return c.val, c.err
 }

@@ -2,9 +2,12 @@ package parallel
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestGroupDedupsConcurrent checks that callers arriving while a call
@@ -101,4 +104,68 @@ func TestMemoComputesOncePerKey(t *testing.T) {
 	if _, err := m.Do("b", func() (string, error) { return "ok", nil }); !errors.Is(err, wantErr) {
 		t.Fatalf("error not memoized: got %v", err)
 	}
+}
+
+// TestMemoDoesNotMemoizePanic checks that a compute which panics
+// leaves no memoized outcome: a caller parked on it gets
+// ErrFlightPanicked, and the next call for the key computes again.
+func TestMemoDoesNotMemoizePanic(t *testing.T) {
+	var m Memo[*int]
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan any)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		_, _ = m.Do("k", func() (*int, error) {
+			close(started)
+			<-release
+			panic("compute failed")
+		})
+	}()
+	<-started
+
+	type outcome struct {
+		v   *int
+		err error
+		ran bool
+	}
+	waiter := make(chan outcome)
+	go func() {
+		ran := false
+		v, err := m.Do("k", func() (*int, error) { ran = true; return new(int), nil })
+		waiter <- outcome{v, err, ran}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); !parkedInMemoDo(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never parked on the in-flight compute")
+		}
+	}
+	close(release)
+	if r := <-leaderDone; r == nil {
+		t.Fatal("panic did not propagate to the computing caller")
+	}
+	if w := <-waiter; w.ran || !errors.Is(w.err, ErrFlightPanicked) {
+		t.Fatalf("waiter on a panicked compute got (%v, %v, ran=%v), want ErrFlightPanicked", w.v, w.err, w.ran)
+	}
+
+	seven := 7
+	v, err := m.Do("k", func() (*int, error) { return &seven, nil })
+	if err != nil || v == nil || *v != 7 {
+		t.Fatalf("Do after a panicked compute = (%v, %v), want a fresh (7, nil)", v, err)
+	}
+}
+
+// parkedInMemoDo reports whether some goroutine is blocked on a
+// channel receive in Memo.Do itself: a waiter parked on an in-flight
+// compute (the computing caller blocks inside compute instead).
+func parkedInMemoDo() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, frames, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[chan receive") && strings.HasPrefix(frames, "repro/internal/parallel.(*Memo[") {
+			return true
+		}
+	}
+	return false
 }
