@@ -3,12 +3,14 @@
 # concurrency, and hot-path analyzers under internal/analysis), build,
 # the full test suite under the race detector (the parallel engine's
 # and the job queue's safety net), one pass over every benchmark so
-# the bench targets cannot rot, a 10-iteration smoke over the lane /
-# CSR / adaptive-inference benchmarks (enough iterations to catch a
-# perf-structure regression that a single pass hides, cheap enough for
-# every run), a short fuzz smoke over the
-# untrusted-input decoders (CSV rows, JSON schema specs) and over the
-# exact-inference DP against its dense, brute-force and Ryser oracles, the
+# the bench targets cannot rot, a 10-iteration smoke over the lane
+# prior-pass (dense and sparse bandwidth) and adaptive-inference
+# benchmarks (enough iterations to catch a perf-structure regression
+# that a single pass hides, cheap enough for every run), a short fuzz
+# smoke over the untrusted-input decoders (CSV rows, JSON schema
+# specs), over the exact-inference DP against its dense, brute-force
+# and Ryser oracles and over every prior-pass path against the
+# reference Nadaraya–Watson loop, the
 # serve-restart smoke (boot, ingest, kill, reboot, verify
 # byte-identical disk recovery with zero pipeline runs), the
 # observability smoke (boot with a diagnostics listener, drive load,
@@ -54,10 +56,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # Focused 10-iteration pass over the hot-path kernels this repo's perf
-# claims rest on: the lane-shaped prior pass (f64 + f32), the CSR
-# sparse pair-weight stream, and the adaptive-inference attack.
+# claims rest on: the lane-shaped prior pass at a dense and a sparse
+# bandwidth, and the adaptive-inference attack.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '(PriorsLanes|PriorsCSR|AttackAdaptive)' -benchtime=10x .
+	$(GO) test -run '^$$' -bench '(PriorsLanes|AttackAdaptive)' -benchtime=10x .
 
 # Record the benchmark suite as BENCH JSON (name → ns/op, B/op,
 # allocs/op, plus deltas against BENCH_BASELINE when set):
@@ -68,13 +70,16 @@ BENCH_BASELINE ?=
 bench-json:
 	GO="$(GO)" sh scripts/bench.sh "$(BENCH_OUT)" "$(BENCH_BASELINE)"
 
-# Short fuzz smoke over the two parsers that face untrusted input and
-# the exact-inference walk against its dense and brute-force oracles.
-# `go test -fuzz` takes one target per invocation.
+# Short fuzz smoke over the two parsers that face untrusted input, the
+# exact-inference walk against its dense and brute-force oracles, and
+# the prior-pass paths (lane widths, fused batch, PriorAt) against each
+# other and the reference loop. `go test -fuzz` takes one target per
+# invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 5s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s ./internal/schema
 	$(GO) test -run '^$$' -fuzz '^FuzzExactPosteriors$$' -fuzztime 5s ./internal/inference
+	$(GO) test -run '^$$' -fuzz '^FuzzPriorsPaths$$' -fuzztime 5s ./internal/kernel
 
 # Coverage: per-package profiles plus the aggregate statement rate.
 cover:

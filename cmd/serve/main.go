@@ -12,13 +12,7 @@
 //	      [-data-dir DIR] [-job-workers 2] [-job-queue 128]
 //	      [-schema spec.json[,spec2.json...]]
 //	      [-debug-addr ADDR] [-trace-ring 128] [-slow-trace-ms 0]
-//	      [-no-tracing] [-kernel-f32]
-//
-// -kernel-f32 opts the whole server into float32 lane accumulation for
-// kernel prior passes (per-pair products in float32, reductions in
-// float64 — see DESIGN.md "Hot path layout"). Priors differ from the
-// float64 default within a pinned 1e-4 relative bound; dataset ids are
-// keyed apart so f32 and f64 artifacts never mix.
+//	      [-no-tracing]
 //
 // -debug-addr starts a second listener with the diagnostics surface:
 // GET /debug/traces (recent request/job traces with per-stage spans,
@@ -76,7 +70,6 @@ func main() {
 	traceRing := flag.Int("trace-ring", 128, "recent traces retained for /debug/traces")
 	slowTraceMS := flag.Int("slow-trace-ms", 0, "default /debug/traces min_ms filter")
 	noTracing := flag.Bool("no-tracing", false, "disable request tracing and the stage ledger")
-	kernelF32 := flag.Bool("kernel-f32", false, "float32 lane accumulation for kernel prior passes (float64 reductions)")
 	schemas := cli.Schema("comma-separated JSON dataset specs to preload at boot")
 	workers := cli.Workers()
 	flag.Parse()
@@ -92,7 +85,6 @@ func main() {
 		DisableTracing:  *noTracing,
 		TraceRing:       *traceRing,
 		SlowTraceMillis: *slowTraceMS,
-		KernelF32:       *kernelF32,
 		Logger:          logger,
 	})
 	if err != nil {
@@ -142,7 +134,7 @@ func main() {
 	}
 	logger.Info("listening", "addr", *addr, "workers", *workers,
 		"releases", *releases, "datasets", *datasets, "job_workers", *jobWorkers,
-		"tracing", !*noTracing, "kernel_f32", *kernelF32)
+		"tracing", !*noTracing)
 
 	select {
 	case err := <-errc:

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/anatomy"
 	"repro/internal/anonymize"
@@ -64,7 +63,7 @@ func AllModels() []Model {
 
 // ParseModel maps the CLI/API model names (distinct, prob, tclose, bt)
 // to the Model enum. The composite "skyline" requirement is not a
-// Model; callers that accept it use RequirementByName.
+// Model; RunAlgorithm and RunAlgorithmWith accept it by name.
 func ParseModel(name string) (Model, bool) {
 	switch name {
 	case "distinct":
@@ -118,16 +117,10 @@ type Engine struct {
 
 	workers int // 0 = unset (all cores); set via WithWorkers
 
-	mu     sync.Mutex
-	priors map[string]*priorEntry
-}
-
-// priorEntry is a singleflight cache slot: concurrent callers for the
-// same bandwidth block on one computation instead of duplicating it.
-type priorEntry struct {
-	once   sync.Once
-	priors []prob.Dist
-	err    error
+	// priors caches the per-record priors per bandwidth key — the
+	// process's only per-bandwidth cache. Concurrent callers for one
+	// bandwidth block on a single computation instead of duplicating it.
+	priors parallel.Memo[[]prob.Dist]
 }
 
 // Option configures an Engine at construction.
@@ -179,7 +172,6 @@ func New(t *dataset.Table, hiers map[string]*hierarchy.Hierarchy, k kernel.Func,
 		SensMatrix: sm,
 		Measure:    distance.NewSmoothedJS(sm, k, SmoothingBandwidth),
 		Method:     method,
-		priors:     map[string]*priorEntry{},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -195,23 +187,14 @@ func (e *Engine) Priors(b []float64) ([]prob.Dist, error) {
 }
 
 // priorsSpan is Priors with a recorder: the estimator's table build
-// and prior pass land as stage spans under sp. Because the cache slot
-// is a singleflight, only the computing caller records spans — later
-// and concurrent callers attach nothing, so shared work is attributed
+// and prior pass land as stage spans under sp. Because the cache is a
+// singleflight, only the computing caller records spans — later and
+// concurrent callers attach nothing, so shared work is attributed
 // exactly once (to whoever actually ran it).
 func (e *Engine) priorsSpan(sp *obs.Span, b []float64) ([]prob.Dist, error) {
-	key := kernel.BandwidthKey(b)
-	e.mu.Lock()
-	entry, ok := e.priors[key]
-	if !ok {
-		entry = &priorEntry{}
-		e.priors[key] = entry
-	}
-	e.mu.Unlock()
-	entry.once.Do(func() {
-		entry.priors, entry.err = e.Estimator.PriorsSpan(sp, b)
+	return e.priors.Do(kernel.BandwidthKey(b), func() ([]prob.Dist, error) {
+		return e.Estimator.PriorsSpan(sp, b)
 	})
-	return entry.priors, entry.err
 }
 
 // UniformPriors is Priors with the uniform bandwidth vector (b,…,b).
@@ -220,56 +203,29 @@ func (e *Engine) UniformPriors(b float64) ([]prob.Dist, error) {
 }
 
 // PriorsBatch returns the per-record priors for a whole bandwidth
-// grid, computing every cache-missing bandwidth in one fused estimator
-// pass (kernel.Estimator.PriorsBatch) instead of one pass per
-// bandwidth. Results land in the same per-bandwidth cache Priors uses,
-// and out[i] is bit-identical to Priors(bvecs[i]).
+// grid, computing every bandwidth no caller has cached or claimed in
+// one fused estimator pass instead of one pass per bandwidth. Results
+// land in the same per-bandwidth cache Priors uses, and out[i] is
+// bit-identical to Priors(bvecs[i]).
 func (e *Engine) PriorsBatch(bvecs [][]float64) ([][]prob.Dist, error) {
 	return e.priorsBatchSpan(nil, bvecs)
 }
 
-// priorsBatchSpan is PriorsBatch with a recorder (see priorsSpan).
+// priorsBatchSpan is PriorsBatch with a recorder (see priorsSpan). A
+// failed pass is not cached: one invalid bandwidth fails its grid but
+// leaves the valid ones computable.
 func (e *Engine) priorsBatchSpan(sp *obs.Span, bvecs [][]float64) ([][]prob.Dist, error) {
-	entries := make([]*priorEntry, len(bvecs))
-	var missing []int
-	e.mu.Lock()
+	keys := make([]string, len(bvecs))
 	for i, b := range bvecs {
-		key := kernel.BandwidthKey(b)
-		entry, ok := e.priors[key]
-		if !ok {
-			entry = &priorEntry{}
-			e.priors[key] = entry
-			missing = append(missing, i)
-		}
-		entries[i] = entry
+		keys[i] = kernel.BandwidthKey(b)
 	}
-	e.mu.Unlock()
-	if len(missing) > 0 {
+	return e.priors.DoMany(keys, func(missing []int) ([][]prob.Dist, error) {
 		grid := make([][]float64, len(missing))
 		for j, i := range missing {
 			grid[j] = bvecs[i]
 		}
-		batch, err := e.Estimator.PriorsBatchSpan(sp, grid)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range missing {
-			entry, priors := entries[i], batch[j]
-			entry.once.Do(func() { entry.priors = priors })
-		}
-	}
-	out := make([][]prob.Dist, len(bvecs))
-	for i, entry := range entries {
-		// Entries that were already resident (or racing) resolve
-		// through the same singleflight slot Priors uses.
-		b := bvecs[i]
-		entry.once.Do(func() { entry.priors, entry.err = e.Estimator.PriorsSpan(sp, b) })
-		if entry.err != nil {
-			return nil, entry.err
-		}
-		out[i] = entry.priors
-	}
-	return out, nil
+		return e.Estimator.PriorsBatchSpan(sp, grid)
+	})
 }
 
 // Requirement builds the composed requirement (model ∧ K-anonymity)
@@ -309,17 +265,12 @@ func (e *Engine) requirementSpan(sp *obs.Span, method inference.Method, m Model,
 	return privacy.And{Parts: []privacy.Requirement{privacy.KAnonymity{K: p.K}, attr}}, nil
 }
 
-// RequirementByName builds the composed requirement for a CLI/API
+// requirementByNameSpan builds the composed requirement for a CLI/API
 // model name: distinct, prob, tclose, bt, or skyline. The skyline
 // variant enforces the fixed three-entry (B_i, t_i) ladder around the
 // requested (B, t) that the binaries expose: {(0.2, t), (B, t),
-// (0.5, t+0.05)}, composed with K-anonymity.
-func (e *Engine) RequirementByName(name string, p Params) (privacy.Requirement, error) {
-	return e.requirementByNameSpan(nil, nil, name, p)
-}
-
-// requirementByNameSpan is RequirementByName with a recorder and an
-// optional inference-method override for the (B,t) checks.
+// (0.5, t+0.05)}, composed with K-anonymity. sp records the prior
+// passes; method optionally overrides the (B,t) checks' inference.
 func (e *Engine) requirementByNameSpan(sp *obs.Span, method inference.Method, name string, p Params) (privacy.Requirement, error) {
 	if name == "skyline" {
 		return e.skylineRequirementSpan(sp, method, p.K, []Params{
@@ -335,13 +286,9 @@ func (e *Engine) requirementByNameSpan(sp *obs.Span, method inference.Method, na
 	return e.requirementSpan(sp, method, m, p)
 }
 
-// BTRequirement builds the bare (B,t) requirement for a parameter set.
-func (e *Engine) BTRequirement(p Params) (privacy.BTPrivacy, error) {
-	return e.btRequirementSpan(nil, nil, p)
-}
-
-// btRequirementSpan is BTRequirement with a recorder for its prior
-// pass and an optional inference-method override.
+// btRequirementSpan builds the bare (B,t) requirement for a parameter
+// set, with a recorder for its prior pass and an optional
+// inference-method override.
 func (e *Engine) btRequirementSpan(sp *obs.Span, method inference.Method, p Params) (privacy.BTPrivacy, error) {
 	bvec := p.BVec
 	if bvec == nil {
@@ -404,7 +351,7 @@ func (e *Engine) AnonymizeModel(m Model, p Params) (*anonymize.Result, error) {
 
 // RunAlgorithm is the shared dispatch for the CLI and the serving
 // layer: it runs the named algorithm (mondrian, anatomy, incognito)
-// under the named model (see RequirementByName) and validates the
+// under the named model (see requirementByNameSpan) and validates the
 // release. The levels return is Incognito's minimal generalization
 // node (nil for the other algorithms). Anatomy enforces ℓ-diversity by
 // construction and uses only p.L.
@@ -412,18 +359,12 @@ func (e *Engine) RunAlgorithm(algo, model string, p Params) (res *anonymize.Resu
 	return e.runAlgorithm(nil, nil, algo, model, p)
 }
 
-// RunAlgorithmContext is RunAlgorithm under a traced request: the
-// pipeline's stages (prior passes, partitioning, anatomy, incognito
-// search) are recorded as children of the context's span. A context
-// without a span — or a plain context.Background() — runs identically
-// with zero recording overhead.
-func (e *Engine) RunAlgorithmContext(ctx context.Context, algo, model string, p Params) (res *anonymize.Result, levels []int, err error) {
-	return e.runAlgorithm(obs.SpanFromContext(ctx), nil, algo, model, p)
-}
-
-// RunAlgorithmWith is RunAlgorithmContext with a per-release inference
-// method for the (B,t) breach checks the pipeline runs (nil = engine
-// default). Exact is rejected at the request layer for releases —
+// RunAlgorithmWith is RunAlgorithm under a traced request, with a
+// per-release inference method for the (B,t) breach checks the
+// pipeline runs (nil = engine default). The pipeline's stages (prior
+// passes, partitioning, anatomy, incognito search) are recorded as
+// children of the context's span; a context without one runs
+// identically with zero recording overhead. Exact is rejected at the request layer for releases —
 // Mondrian's initial group is the whole table, far past any exact
 // bound — so only Ω and adaptive reach here.
 func (e *Engine) RunAlgorithmWith(ctx context.Context, m inference.Method, algo, model string, p Params) (res *anonymize.Result, levels []int, err error) {
@@ -549,14 +490,10 @@ func (e *Engine) Attack(res *anonymize.Result, bvec []float64, t float64, breach
 	return e.attackSpan(nil, nil, res, bvec, t, breach)
 }
 
-// AttackContext is Attack under a traced request: the prior pass and
-// the inference fan-out land as stage spans on the context's span.
-func (e *Engine) AttackContext(ctx context.Context, res *anonymize.Result, bvec []float64, t float64, breach Breach) (*AttackReport, error) {
-	return e.attackSpan(obs.SpanFromContext(ctx), nil, res, bvec, t, breach)
-}
-
-// AttackWith is AttackContext with a per-call inference method — the
-// request-level override the serving layer threads through. A nil
+// AttackWith is Attack under a traced request — the prior pass and the
+// inference fan-out land as stage spans on the context's span — with a
+// per-call inference method, the request-level override the serving
+// layer threads through. A nil
 // method uses the engine's default. Exact refuses oversized groups
 // with inference.ErrTooLarge (first failing group in group order)
 // instead of degrading silently.
@@ -689,14 +626,10 @@ func (e *Engine) AttackSweep(res *anonymize.Result, bvecs [][]float64, t float64
 	return e.attackSweepSpan(nil, nil, res, bvecs, t, breach)
 }
 
-// AttackSweepContext is AttackSweep under a traced request (see
-// AttackContext); one inference span covers the whole fused dispatch.
-func (e *Engine) AttackSweepContext(ctx context.Context, res *anonymize.Result, bvecs [][]float64, t float64, breach Breach) ([]*AttackReport, error) {
-	return e.attackSweepSpan(obs.SpanFromContext(ctx), nil, res, bvecs, t, breach)
-}
-
-// AttackSweepWith is AttackSweepContext with a per-call inference
-// method (see AttackWith); a nil method uses the engine's default.
+// AttackSweepWith is AttackSweep under a traced request — one
+// inference span covers the whole fused dispatch — with a per-call
+// inference method (see AttackWith); a nil method uses the engine's
+// default.
 func (e *Engine) AttackSweepWith(ctx context.Context, m inference.Method, res *anonymize.Result, bvecs [][]float64, t float64, breach Breach) ([]*AttackReport, error) {
 	return e.attackSweepSpan(obs.SpanFromContext(ctx), m, res, bvecs, t, breach)
 }

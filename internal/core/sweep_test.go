@@ -2,11 +2,14 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/adult"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/prob"
 )
 
 // sweepGrid is the bandwidth grid the sweep tests exercise — mixed
@@ -158,5 +161,110 @@ func TestPriorsBatchSharesCache(t *testing.T) {
 		if &single[0][0] != &batch[i][0][0] {
 			t.Fatalf("bandwidth %d: Priors recomputed instead of hitting the batch-filled cache", i)
 		}
+	}
+}
+
+// TestPriorsConcurrentOverlappingGrids runs Priors and PriorsBatch
+// from many goroutines on overlapping grids. Every answer must equal a
+// sequential engine's bit for bit, and the shared cache must run each
+// bandwidth's table build and prior pass exactly once: the priors
+// spans' lanes sum to the number of distinct bandwidths.
+func TestPriorsConcurrentOverlappingGrids(t *testing.T) {
+	table := adult.Generate(200, 3)
+	d := table.Schema.D()
+	bws := []float64{0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45}
+	grids := make([][][]float64, 6)
+	for g := range grids {
+		for j := 0; j < 4; j++ {
+			grids[g] = append(grids[g], kernel.UniformBandwidth(d, bws[(g+2*j)%len(bws)]))
+		}
+	}
+	seq, err := New(table, adult.Hierarchies(), nil, nil, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]prob.Dist{}
+	for _, bw := range bws {
+		b := kernel.UniformBandwidth(d, bw)
+		if want[kernel.BandwidthKey(b)], err = seq.Priors(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e, err := New(table, adult.Hierarchies(), nil, nil, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer(1)
+	check := func(b []float64, got []prob.Dist) {
+		if !reflect.DeepEqual(got, want[kernel.BandwidthKey(b)]) {
+			t.Errorf("b=%v: priors differ from the sequential engine", b)
+		}
+	}
+	var wg sync.WaitGroup
+	for g, grid := range grids {
+		wg.Add(2)
+		go func(grid [][]float64) {
+			defer wg.Done()
+			got, err := e.priorsBatchSpan(tracer.Start("batch").Root(), grid)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, b := range grid {
+				check(b, got[i])
+			}
+		}(grid)
+		go func(b []float64) {
+			defer wg.Done()
+			got, err := e.priorsSpan(tracer.Start("single").Root(), b)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			check(b, got)
+		}(grid[g%len(grid)])
+	}
+	wg.Wait()
+	lanes := 0
+	for _, s := range tracer.Stages().Samples(obs.StagePriors) {
+		lanes += s.Shape.Lanes
+	}
+	if lanes != len(bws) {
+		t.Errorf("prior passes covered %d bandwidths, want each of %d exactly once", lanes, len(bws))
+	}
+	if got := len(tracer.Stages().Samples(obs.StageKernelTable)); got != len(bws) {
+		t.Errorf("%d weight-table builds, want %d", got, len(bws))
+	}
+}
+
+// TestPriorsBatchInvalidBandwidth checks that a grid holding one
+// invalid bandwidth fails as a whole without caching the failure: its
+// valid members stay computable, and equal to a fresh engine's.
+func TestPriorsBatchInvalidBandwidth(t *testing.T) {
+	table := adult.Generate(200, 3)
+	e, err := New(table, adult.Hierarchies(), nil, nil, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := table.Schema.D()
+	valid := kernel.UniformBandwidth(d, 0.3)
+	if _, err := e.PriorsBatch([][]float64{valid, kernel.UniformBandwidth(d, -1)}); err == nil {
+		t.Fatal("grid with a negative bandwidth did not fail")
+	}
+	got, err := e.Priors(valid)
+	if err != nil {
+		t.Fatalf("valid member of a failed grid: %v", err)
+	}
+	fresh, err := New(table, adult.Hierarchies(), nil, nil, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Priors(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("priors after a failed grid differ from a fresh engine's")
 	}
 }

@@ -5,8 +5,6 @@
 package kernel
 
 import (
-	"sync"
-
 	"repro/internal/dataset"
 	"repro/internal/parallel"
 	"repro/internal/prob"
@@ -22,11 +20,11 @@ import (
 // no pointer chasing; the profile×profile iteration space is tiled so
 // the streamed operand block stays in L1/L2 across a tile of query
 // profiles; scratch accumulators come from a pool, reused across
-// calls, so a warm call allocates only its output; and compact-support
-// kernels zero most pair weights, so each weight table carries
-// candidate lists — the profiles with a nonzero weight against each
-// query value — and every query profile streams only the candidates of
-// its most selective attribute instead of testing all n pairs.
+// calls; and compact-support kernels zero most pair weights, so each
+// pass indexes its tables' candidate lists — the profiles with a
+// nonzero weight against each query value — and every query profile
+// streams only the candidates of its most selective attribute instead
+// of testing all n pairs.
 //
 // Skipping a pair whose product is provably zero does not touch the
 // arithmetic, and per-profile accumulation order is fixed — candidate
@@ -51,36 +49,16 @@ const (
 // w[off[i] + v·stride[i] + u]. All tables for one estimator share
 // off/stride (they depend only on the schema), which is what lets a
 // bandwidth sweep concatenate its tables and index them with a single
-// shared offset per (profile pair, attribute). The embedded candSet
-// indexes the packed profiles by nonzero weight.
+// shared offset per (profile pair, attribute).
 type flatTables struct {
 	w      []float64
 	off    []int
 	stride []int
 	size   int
 
-	// wf32 is the float32 shadow of w, built only under the F32
-	// precision opt-in (lanes.go); the default path never touches it.
-	wf32 []float32
 	// lanes is the block width of the lane pass (4 or 8), chosen at
 	// table build from the table's nonzero density (laneWidthFor).
 	lanes int
-
-	// cands indexes the table's support over the packed profiles,
-	// built on first use: the single-bandwidth pass wants its own
-	// table's candidates, while a sweep needs only its chunk-union's,
-	// so building eagerly would charge every sweep for d·r scans it
-	// never reads.
-	candOnce sync.Once
-	cands    candSet
-	// candTotal is Σ_p |cand(p)|, measured when cands is built — the
-	// density numerator the CSR crossover decision reads (csr.go).
-	candTotal int
-
-	// csr is the sparse pair-weight layout, built by the first CSR
-	// pass when the measured density clears the crossover (csr.go).
-	csrOnce sync.Once
-	csr     *csrPairs
 }
 
 // candSet holds the candidate lists the pass iterates instead of all n
@@ -120,12 +98,6 @@ func (e *Estimator) buildFlat(b []float64) *flatTables {
 		}
 	}
 	ft.lanes = laneWidthFor(nnz, ft.size)
-	if e.Precision == F32 {
-		ft.wf32 = make([]float32, ft.size)
-		for i, w := range ft.w {
-			ft.wf32[i] = float32(w)
-		}
-	}
 	return ft
 }
 
@@ -142,20 +114,6 @@ func fillWeights(dst []float64, k Func, xs []float64, b float64) {
 	for u, x := range xs {
 		dst[u] = k.Weight(x, b)
 	}
-}
-
-// candsOf returns the table's candidate index, building it exactly
-// once on first use.
-func (e *Estimator) candsOf(ft *flatTables) *candSet {
-	ft.candOnce.Do(func() {
-		ft.cands = e.buildCands(func(idx int) bool { return ft.w[idx] != 0 })
-		total := 0
-		for p := 0; p < e.packed.N; p++ {
-			total += len(ft.cands.bestList(e.packed, p))
-		}
-		ft.candTotal = total
-	})
-	return &ft.cands
 }
 
 // buildCands indexes the packed profiles by weight-table support:
@@ -182,7 +140,7 @@ func (e *Estimator) buildCands(nonzero func(idx int) bool) candSet {
 			rowIdx := off + v*r
 			for dv := 0; dv < r; dv++ {
 				if nonzero(rowIdx + dv) {
-					//lint:ignore hotalloc construction path, once per bandwidth then memoized; support size is data-dependent and output-proportional
+					//lint:ignore hotalloc construction path, once per table set per pass; support size is data-dependent and output-proportional
 					support[i][v] = append(support[i][v], int32(dv))
 					lens[i][v] += boff[dv+1] - boff[dv]
 				}
@@ -295,21 +253,6 @@ func fillBases(pp *dataset.PackedProfiles, ft *flatTables, base []int, p0, p1 in
 	}
 }
 
-// priorPass runs the single-bandwidth Nadaraya–Watson pass over the
-// packed profiles, writing each profile's normalized prior into
-// out[p*m : (p+1)*m]. It dispatches on the table's measured shape:
-// sparse tables stream the CSR pair-weight layout (csr.go), dense
-// tables run the lane-blocked pass (lanes.go). Each query profile is
-// computed wholly by one worker in fixed ascending-candidate order
-// under either shape, so output is bit-identical at any setting.
-func (e *Estimator) priorPass(ft *flatTables, out []float64) {
-	if e.useCSR(ft) {
-		e.priorPassCSR(ft, out)
-		return
-	}
-	e.priorPassLanes(ft, out)
-}
-
 // batchChunk is the fused pass's grid width: bandwidths are processed
 // up to batchChunk at a time so the per-pair working products live in
 // one fixed-size stack array, the inner loops run branchless over a
@@ -379,10 +322,13 @@ func (e *Estimator) priorPassBatch(fts []*flatTables, outs [][]float64) {
 		return false
 	})
 	// A lane whose support equals the union's dominates the chunk: its
-	// running product goes zero only when every lane's has. Any uniform
-	// b' grid under a compact kernel has one (the widest bandwidth), and
-	// it gives the fused loop the early break the single pass enjoys.
-	// Verified from the tables, not assumed from kernel shape.
+	// running product goes zero only when every lane's has — unless it
+	// underflowed, so a zero there is confirmed by the interleave
+	// width's lane sum (products are nonnegative, and spare lanes die at
+	// the first multiply) before the pair is dropped. Any uniform b' grid under a compact
+	// kernel has one (the widest bandwidth), and it gives the fused
+	// loop the early break the single pass enjoys. Verified from the
+	// tables, not assumed from kernel shape.
 	breakLane := -1
 	laneNZ := make([]int, nb)
 	unionNZ := 0
@@ -453,7 +399,7 @@ func (e *Estimator) priorPassBatch(fts []*flatTables, outs [][]float64) {
 					if lw == 4 {
 						for i, b := range bs {
 							mulLane4(&wk, (*[4]float64)(big[(b+int(uq[i]))*4:]))
-							if *blp == 0 {
+							if *blp == 0 && wk[0]+wk[1]+wk[2]+wk[3] == 0 {
 								dead = true
 								break
 							}
@@ -461,7 +407,7 @@ func (e *Estimator) priorPassBatch(fts []*flatTables, outs [][]float64) {
 					} else {
 						for i, b := range bs {
 							mulLane8(&wk, (*[8]float64)(big[(b+int(uq[i]))*8:]))
-							if *blp == 0 {
+							if *blp == 0 && wk[0]+wk[1]+wk[2]+wk[3]+wk[4]+wk[5]+wk[6]+wk[7] == 0 {
 								dead = true
 								break
 							}
@@ -528,9 +474,8 @@ func (e *Estimator) finish(acc []float64, denom float64) {
 }
 
 // priorAtPoint runs the Nadaraya–Watson sum for one arbitrary QI point
-// q (value indexes), which need not occur in the table. Products run
-// in the estimator's precision (scalarProduct), the reduction in
-// float64, matching the pass proper.
+// q (value indexes), which need not occur in the table, with the
+// pass's own scalar product and accumulation.
 func (e *Estimator) priorAtPoint(q []int, ft *flatTables) prob.Dist {
 	pp := e.packed
 	n, d, m := pp.N, pp.D, pp.M

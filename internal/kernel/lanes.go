@@ -30,13 +30,6 @@ import (
 // surviving lanes in ascending candidate order, exactly the scalar
 // order. Tail candidates that do not fill a block run the scalar
 // loop itself.
-//
-// Precision: under F32 (see Precision in estimator.go) the per-lane
-// products are computed in float32 against the float32 shadow table,
-// then widened once; every reduction downstream of the product —
-// denominator, histogram accumulation, normalization — stays float64.
-// The F32 path has its own pinned goldens and a bounded-error test;
-// the default F64 path is bit-identical to the scalar pass.
 
 // laneWidthFor picks the block width for a weight-table set: dense
 // tables (≥¼ of entries nonzero) run wide — long surviving chains
@@ -96,76 +89,13 @@ func lane4(pp *dataset.PackedProfiles, tw []float64, bs []int, us []int32) (wl [
 	return
 }
 
-// lane8f32 is lane8 with float32 lane products against the float32
-// shadow table, widened to float64 on return.
-func lane8f32(pp *dataset.PackedProfiles, twf []float32, bs []int, us []int32) (wl [8]float64) {
-	d := pp.D
-	var qo [8]int
-	var wf [8]float32
-	for k := 0; k < 8; k++ {
-		u := int(us[k])
-		qo[k] = u * d
-		wf[k] = float32(pp.Weights[u])
-	}
-	qi := pp.QI
-	for i, b := range bs {
-		for k := 0; k < 8; k++ {
-			wf[k] *= twf[b+int(qi[qo[k]+i])]
-		}
-		if wf[0]+wf[1]+wf[2]+wf[3]+wf[4]+wf[5]+wf[6]+wf[7] == 0 {
-			break
-		}
-	}
-	for k := 0; k < 8; k++ {
-		wl[k] = float64(wf[k])
-	}
-	return
-}
-
-// lane4f32 is lane4 in float32.
-func lane4f32(pp *dataset.PackedProfiles, twf []float32, bs []int, us []int32) (wl [4]float64) {
-	d := pp.D
-	var qo [4]int
-	var wf [4]float32
-	for k := 0; k < 4; k++ {
-		u := int(us[k])
-		qo[k] = u * d
-		wf[k] = float32(pp.Weights[u])
-	}
-	qi := pp.QI
-	for i, b := range bs {
-		for k := 0; k < 4; k++ {
-			wf[k] *= twf[b+int(qi[qo[k]+i])]
-		}
-		if wf[0]+wf[1]+wf[2]+wf[3] == 0 {
-			break
-		}
-	}
-	for k := 0; k < 4; k++ {
-		wl[k] = float64(wf[k])
-	}
-	return
-}
-
-// scalarProduct computes one pair's kernel product in the estimator's
-// precision — the tail path for candidates that do not fill a block,
-// and the probe path of the CSR build. Under F64 it is exactly the
-// scalar loop the goldens pin; under F32 it mirrors the lane
-// product's float32 chain.
+// scalarProduct computes one pair's kernel product — exactly the
+// scalar loop the goldens pin. It is the tail path for candidates that
+// do not fill a block, and the whole of PriorAt's sum.
 func (e *Estimator) scalarProduct(ft *flatTables, bs []int, u int) float64 {
 	pp := e.packed
 	d := pp.D
 	uq := pp.QI[u*d : u*d+d]
-	if e.Precision == F32 {
-		w := float32(pp.Weights[u])
-		for i, b := range bs {
-			w *= ft.wf32[b+int(uq[i])]
-			if w == 0 {
-				break
-			}
-		}
-		return float64(w)
-	}
 	w := pp.Weights[u]
 	for i, b := range bs {
 		w *= ft.w[b+int(uq[i])]
@@ -178,7 +108,7 @@ func (e *Estimator) scalarProduct(ft *flatTables, bs []int, u int) float64 {
 
 // accumulate folds one surviving pair (product w, candidate u) into a
 // query profile's denominator and histogram row — the reduction shared
-// by every pass shape, always float64.
+// by the lane pass and PriorAt.
 func accumulate(pp *dataset.PackedProfiles, acc []float64, wsum *float64, u int, w float64) {
 	*wsum += w
 	wu := pp.Weights[u]
@@ -194,16 +124,20 @@ func accumulate(pp *dataset.PackedProfiles, acc []float64, wsum *float64, u int,
 	}
 }
 
-// priorPassLanes is the tiled single-bandwidth pass in lane form: the
-// same pTile×uTile blocking, candidate lists, and pooled scratch as
-// the scalar pass, with full blocks of ft.lanes candidates computed by
-// the width-specialized lane kernels and only partial tails falling
-// back to the scalar loop.
-func (e *Estimator) priorPassLanes(ft *flatTables, out []float64) {
+// priorPass runs the single-bandwidth Nadaraya–Watson pass over the
+// packed profiles, writing each profile's normalized prior into
+// out[p*m : (p+1)*m]. It is the tiled pass in lane form: pTile×uTile
+// blocking over the candidate lists with pooled scratch, full blocks of
+// ft.lanes candidates computed by the width-specialized lane kernels
+// and only partial tails falling back to the scalar loop. Each query
+// profile is computed wholly by one worker in fixed ascending-candidate
+// order, so output is bit-identical at any worker count.
+func (e *Estimator) priorPass(ft *flatTables, out []float64) {
 	pp := e.packed
 	n, d, m := pp.N, pp.D, pp.M
-	cands := e.candsOf(ft)
-	f32 := e.Precision == F32
+	// The pass indexes its own table's support; building it with the
+	// table would charge every sweep, which needs only its chunk union's.
+	cands := e.buildCands(func(idx int) bool { return ft.w[idx] != 0 })
 	wide := ft.lanes == 8
 	tiles := (n + pTile - 1) / pTile
 	parallel.For(e.Workers, tiles, func(ti int) {
@@ -238,12 +172,7 @@ func (e *Estimator) priorPassLanes(ft *flatTables, out []float64) {
 				for {
 					if wide && c+8 <= len(list) && int(list[c+7]) < u1 {
 						us := list[c : c+8 : c+8]
-						var wl [8]float64
-						if f32 {
-							wl = lane8f32(pp, ft.wf32, bs, us)
-						} else {
-							wl = lane8(pp, ft.w, bs, us)
-						}
+						wl := lane8(pp, ft.w, bs, us)
 						for k := 0; k < 8; k++ {
 							if wl[k] != 0 {
 								accumulate(pp, acc, &wsum, int(us[k]), wl[k])
@@ -254,12 +183,7 @@ func (e *Estimator) priorPassLanes(ft *flatTables, out []float64) {
 					}
 					if !wide && c+4 <= len(list) && int(list[c+3]) < u1 {
 						us := list[c : c+4 : c+4]
-						var wl [4]float64
-						if f32 {
-							wl = lane4f32(pp, ft.wf32, bs, us)
-						} else {
-							wl = lane4(pp, ft.w, bs, us)
-						}
+						wl := lane4(pp, ft.w, bs, us)
 						for k := 0; k < 4; k++ {
 							if wl[k] != 0 {
 								accumulate(pp, acc, &wsum, int(us[k]), wl[k])

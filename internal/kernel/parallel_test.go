@@ -86,45 +86,40 @@ func TestProfilePriorsBatchDeterministic(t *testing.T) {
 	}
 }
 
-// TestWeightTablesMemoized checks the per-bandwidth weight tables are
-// computed once and shared: a repeated bandwidth returns the cached
-// tables, and a different bandwidth gets its own entry.
-func TestWeightTablesMemoized(t *testing.T) {
-	tab := adult.Generate(100, 11)
-	e, err := NewEstimator(tab, adult.Hierarchies(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1 := UniformBandwidth(tab.Schema.D(), 0.3)
-	w1 := e.weightTables(nil, b1)
-	w2 := e.weightTables(nil, b1)
-	if w1 != w2 {
-		t.Error("repeated bandwidth recomputed the weight tables instead of hitting the memo")
-	}
-	w3 := e.weightTables(nil, UniformBandwidth(tab.Schema.D(), 0.5))
-	if w1 == w3 {
-		t.Error("distinct bandwidths shared one memo entry")
-	}
-}
-
-// TestWeightTablesConcurrentFirstUse hammers the memo from many
-// goroutines on a cold key; parallel.Memo must run the build exactly
-// once, so every caller sees the same table set.
+// TestWeightTablesConcurrentFirstUse runs the first passes of one
+// cold estimator from many goroutines at once: each builds its own
+// weight tables and candidate lists while all share the scratch pool,
+// and every result must equal a sequential estimator's bit for bit.
 func TestWeightTablesConcurrentFirstUse(t *testing.T) {
 	tab := adult.Generate(100, 11)
+	b := UniformBandwidth(tab.Schema.D(), 0.4)
+	seq, err := NewEstimator(tab, adult.Hierarchies(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq.Workers = -1
+	want, err := seq.ProfilePriors(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e, err := NewEstimator(tab, adult.Hierarchies(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := UniformBandwidth(tab.Schema.D(), 0.4)
-	done := make(chan *flatTables, 16)
+	e.Workers = 2
+	done := make(chan []prob.Dist, 16)
 	for i := 0; i < 16; i++ {
-		go func() { done <- e.weightTables(nil, b) }()
+		go func() {
+			got, err := e.ProfilePriors(b)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- got
+		}()
 	}
-	want := <-done
-	for i := 1; i < 16; i++ {
-		if got := <-done; got != want {
-			t.Fatal("concurrent first-use calls returned different table sets")
+	for i := 0; i < 16; i++ {
+		if got := <-done; !reflect.DeepEqual(got, want) {
+			t.Fatal("a concurrent first pass differs from the sequential estimator")
 		}
 	}
 }

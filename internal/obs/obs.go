@@ -52,9 +52,10 @@ const (
 	StageAnatomy
 	// StageIncognito is one incognito lattice search.
 	StageIncognito
-	// StageKernelTable is one per-bandwidth flat weight-table build
-	// (recorded inside the memo, so only the computing caller pays —
-	// and is attributed — the cost).
+	// StageKernelTable is one per-bandwidth flat weight-table build,
+	// part of every prior pass the engine's prior cache misses (recorded
+	// by the computing caller only, which pays — and is attributed —
+	// the cost).
 	StageKernelTable
 	// StagePriors is one Nadaraya–Watson prior pass (single bandwidth
 	// or fused batch) over the profile×profile space.

@@ -42,9 +42,10 @@ func (s *Server) anonymizeShapes(ds *datasetEntry, algo string) []stageShape {
 // bandwidth, one (fused, for a sweep) prior pass, one inference pass
 // priced under the request's method — each method fits its own
 // coefficients, since exact is orders of magnitude costlier per row
-// than the Ω default. The engine memoizes tables and priors per
-// bandwidth, so a warm request spends far less than this — the explain
-// residual shows exactly how much the caches saved.
+// than the Ω default. The engine caches priors per bandwidth, so a
+// warm request skips the table builds and the prior pass and spends
+// far less than this — the explain residual shows exactly how much the
+// cache saved.
 func attackShapes(entry *releaseEntry, lanes int, method string) []stageShape {
 	profiles := len(entry.ds.engine.Estimator.Profiles())
 	n, d := entry.ds.table.N(), entry.ds.table.Schema.D()

@@ -239,30 +239,3 @@ func TestInferenceValidationAndErrors(t *testing.T) {
 		t.Errorf("adaptive attack on oversized groups: status %d: %s", code, body)
 	}
 }
-
-// TestKernelF32ServerKeying pins the f32 opt-in's isolation: an f32
-// server derives a different dataset id from the same ingestion
-// request (so artifacts never collide with f64 ones) and serves the
-// pipeline end to end.
-func TestKernelF32ServerKeying(t *testing.T) {
-	_, ts64 := newTestServer(t, 0)
-	_, ts32 := newTestServerCfg(t, Config{Workers: 0, KernelF32: true})
-
-	req := `{"n":200,"seed":1}`
-	_, b64 := post(t, ts64, "/v1/datasets", req)
-	_, b32 := post(t, ts32, "/v1/datasets", req)
-	id64 := mustJSON[DatasetResponse](t, b64).ID
-	id32 := mustJSON[DatasetResponse](t, b32).ID
-	if id64 == id32 {
-		t.Fatalf("f32 and f64 servers share dataset id %s", id64)
-	}
-	code, body := post(t, ts32, "/v1/anonymize",
-		fmt.Sprintf(`{"dataset":%q,"model":"bt","k":3,"l":3}`, id32))
-	if code != http.StatusOK {
-		t.Fatalf("f32 anonymize: status %d: %s", code, body)
-	}
-	rel := mustJSON[AnonymizeResponse](t, body).Release
-	if code, body := post(t, ts32, "/v1/attack", attackBody(rel, 0.4, "", 0)); code != http.StatusOK {
-		t.Fatalf("f32 attack: status %d: %s", code, body)
-	}
-}

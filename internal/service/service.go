@@ -35,14 +35,6 @@ type Config struct {
 	// (0 = all cores, negative = sequential; the package-wide
 	// convention). All responses are bit-identical at any setting.
 	Workers int
-	// KernelF32 opts the whole server into float32 lane accumulation
-	// for kernel prior passes (cmd/serve -kernel-f32): per-pair
-	// products in float32, reductions in float64. Priors — and
-	// therefore releases and attacks — differ from the float64 default
-	// within the pinned 1e-4 relative bound, so dataset ids are keyed
-	// apart (|kernel=f32) and f32 artifacts never collide with f64 ones
-	// in memory or on disk.
-	KernelF32 bool
 	// ReleaseCap is the release store's LRU capacity (default 128).
 	ReleaseCap int
 	// DatasetCap is the dataset store's LRU capacity (default 8).
@@ -475,22 +467,7 @@ func (s *Server) buildDataset(sp *obs.Span, id string, schemaID string, spec *sc
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.KernelF32 {
-		// Before any prior pass: weight tables are memoized per
-		// bandwidth and carry the precision they were built under.
-		eng.Estimator.Precision = kernel.F32
-	}
 	return &datasetEntry{id: id, schemaID: schemaID, table: table, engine: eng}, nil
-}
-
-// datasetKey finalizes a dataset id key: an f32 server keys its
-// datasets (and hence releases and attacks) apart from the bit-exact
-// float64 default.
-func (s *Server) datasetKey(key string) string {
-	if s.cfg.KernelF32 {
-		return key + "|kernel=f32"
-	}
-	return key
 }
 
 // handleDatasets ingests a dataset: JSON {n, seed, schema} synthesizes
@@ -529,8 +506,8 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	id := hashID("ds", s.datasetKey("synthetic|schema="+schemaID+
-		"|n="+strconv.Itoa(req.N)+"|seed="+strconv.FormatInt(req.Seed, 10)))
+	id := hashID("ds", "synthetic|schema="+schemaID+
+		"|n="+strconv.Itoa(req.N)+"|seed="+strconv.FormatInt(req.Seed, 10))
 	sp := obs.SpanFromContext(r.Context())
 	entry, src, err := s.datasets.do(id, func() (*datasetEntry, error) {
 		// The singleflight leader runs this closure in its own request
@@ -622,7 +599,7 @@ func (s *Server) ingestCSV(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	id := hashID("ds", s.datasetKey("csv|schema="+schemaID+"|sha256="+hex.EncodeToString(h.Sum(nil))))
+	id := hashID("ds", "csv|schema="+schemaID+"|sha256="+hex.EncodeToString(h.Sum(nil)))
 	entry, src, err := s.datasets.do(id, func() (*datasetEntry, error) {
 		e, err := s.buildDataset(sp, id, schemaID, spec, table)
 		if err == nil {

@@ -6,8 +6,8 @@
 # scripts/costcheck that /metrics?format=prom parses as OpenMetrics and
 # the priors and mondrian fits reach minimum sample counts with bounded
 # median error. The calibration runs use -models bt only: the engine
-# memoizes kernel tables and priors per bandwidth, so a mixed-model run
-# would spend most requests on cache hits and starve the reservoirs.
+# caches priors per bandwidth, so a mixed-model run would spend most
+# requests on cache hits and starve the reservoirs.
 # Also probes the explain and estimate surfaces end to end.
 # Run via `make cost-smoke` (part of `make ci`).
 set -eu
